@@ -3,31 +3,25 @@
 // available to all Spack users ... focusing the time to build
 // applications on only the dependencies with special requirements."
 //
-// A thread-safe, hash-addressed build mirror. Entries are keyed by the
-// concrete spec's DAG hash and sharded; each shard publishes an immutable
-// RCU-style snapshot (support/snapshot.hpp), so the steady-state read
-// path — fetch hits, contains, size — is a single atomic load with zero
-// locks. Writers copy the shard map under the shard mutex and publish
-// atomically; hit/miss/push counters are atomics (release increments,
-// acquire snapshot reads — see stats()). Fetch latency is modeled (mirror
-// round-trip plus size over sustained bandwidth) — the decision logic
-// (what is mirrored, what is rebuilt) is fully real.
+// A thread-safe, hash-addressed build mirror: a support::ShardedCache
+// keyed by the concrete spec's DAG hash and weighed in artifact bytes, so
+// the steady-state read path (fetch hits, contains, size) takes no lock.
+// This module adds the fetch fault/retry loop, the push fault site and
+// the transfer model. Fetch latency is modeled (mirror round-trip plus
+// size over sustained bandwidth) — the decision logic (what is mirrored,
+// what is rebuilt) is fully real.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/spec/spec.hpp"
 #include "src/support/hash.hpp"
-#include "src/support/snapshot.hpp"
+#include "src/support/sharded_cache.hpp"
 
 namespace benchpark::buildcache {
 
@@ -45,25 +39,11 @@ struct CacheEntry {
   double injected_latency_seconds = 0.0;
 };
 
-/// Cumulative counters; snapshot via BinaryCache::stats(). Snapshots are
-/// torn-read-free: within one struct, evictions <= pushes always holds,
-/// and every counter is monotone across successive snapshots (release
-/// increments read back in causal order with acquire loads).
-struct CacheStats {
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-  std::size_t pushes = 0;
+/// Cumulative counters; snapshot via BinaryCache::stats(). `inserts`
+/// counts pushes (persisted as "pushes").
+struct CacheStats : support::CacheStats {
   /// Transient fetch attempts that were retried internally.
   std::size_t retries = 0;
-  /// Artifacts dropped to stay under the configured capacity.
-  std::size_t evictions = 0;
-
-  [[nodiscard]] std::size_t lookups() const { return hits + misses; }
-  [[nodiscard]] double hit_rate() const {
-    return lookups() == 0
-               ? 0.0
-               : static_cast<double>(hits) / static_cast<double>(lookups());
-  }
 };
 
 class BinaryCache {
@@ -95,23 +75,23 @@ public:
   void push(const spec::Spec& concrete, std::uint64_t size_bytes);
 
   /// Lookup that does not touch the hit/miss counters.
-  [[nodiscard]] bool contains(const spec::Spec& concrete) const;
+  [[nodiscard]] bool contains(const spec::Spec& concrete) const {
+    return cache_.contains(concrete.dag_hash());
+  }
 
   /// Number of distinct mirrored artifacts.
-  [[nodiscard]] std::size_t size() const;
+  [[nodiscard]] std::size_t size() const { return cache_.size(); }
 
   /// Rolling-cache capacity in bytes; 0 (the default) is unbounded.
   /// When a push takes the cache over capacity, oldest-pushed artifacts
   /// are evicted until it fits again — an artifact larger than the whole
   /// capacity is evicted immediately after its own push.
-  void set_capacity_bytes(std::uint64_t bytes);
+  void set_capacity_bytes(std::uint64_t bytes) { cache_.set_capacity(bytes); }
   [[nodiscard]] std::uint64_t capacity_bytes() const {
-    return capacity_bytes_.load(std::memory_order_relaxed);
+    return cache_.capacity();
   }
   /// Bytes currently mirrored across all shards.
-  [[nodiscard]] std::uint64_t total_bytes() const {
-    return total_bytes_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t total_bytes() const { return cache_.weight(); }
 
   [[nodiscard]] CacheStats stats() const;
 
@@ -120,11 +100,9 @@ public:
   /// transient and always zero here.
   [[nodiscard]] std::vector<CacheEntry> export_entries() const;
 
-  /// Replace contents and counters from a persisted snapshot. Entries
-  /// keep their original sequences and are published through the normal
-  /// copy-on-write snapshot path, so oldest-sequence-first eviction order
-  /// survives a persist/reload cycle; stats() resumes from `stats`
-  /// instead of resetting to zero.
+  /// Merge a persisted snapshot into the contents and resume the counters
+  /// from `stats`. Entries keep their original sequences, so
+  /// oldest-sequence-first eviction order survives a persist/reload cycle.
   void restore(const std::vector<CacheEntry>& entries,
                const CacheStats& stats);
 
@@ -132,37 +110,20 @@ public:
   [[nodiscard]] double fetch_cost_seconds(std::uint64_t size_bytes) const;
 
 private:
-  static constexpr std::size_t kShards = 16;
-
-  using Map = std::unordered_map<std::string, CacheEntry,
-                                 support::TransparentStringHash,
-                                 std::equal_to<>>;
-  /// Readers load `snapshot` lock-free; writers serialize on `mu`,
-  /// copy the current map, mutate the copy, and publish it.
-  struct Shard {
-    std::mutex mu;
-    support::SnapshotPtr<Map> snapshot;
+  struct Traits {
+    using Hash = support::TransparentStringHash;
+    static std::uint64_t weight(const CacheEntry& e) { return e.size_bytes; }
+    static constexpr support::CacheCounterNames kCounters{
+        "buildcache.hits", "buildcache.misses", "buildcache.pushes",
+        "buildcache.evictions", "buildcache.invalidations"};
+    static void on_evict(const std::string& hash, const CacheEntry& e);
   };
-
-  [[nodiscard]] Shard& shard_for(std::string_view dag_hash) const;
-  /// Evict oldest-sequence entries until total_bytes_ fits the capacity.
-  void evict_to_capacity();
 
   double base_latency_seconds_ = 0.02;
   double bytes_per_second_ = 1.0e9;
   int fetch_retries_ = 2;
-  mutable std::array<Shard, kShards> shards_;
-  /// Serializes evictions (never held while a shard mutex is already
-  /// held; lock order is evict_mu_ -> shard.mu).
-  std::mutex evict_mu_;
-  std::atomic<std::uint64_t> capacity_bytes_{0};
-  std::atomic<std::uint64_t> total_bytes_{0};
-  std::atomic<std::uint64_t> next_sequence_{1};
-  std::atomic<std::size_t> hits_{0};
-  std::atomic<std::size_t> misses_{0};
-  std::atomic<std::size_t> pushes_{0};
+  support::ShardedCache<CacheEntry, Traits> cache_;
   std::atomic<std::size_t> retries_{0};
-  std::atomic<std::size_t> evictions_{0};
 };
 
 }  // namespace benchpark::buildcache

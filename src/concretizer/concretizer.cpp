@@ -89,20 +89,20 @@ spec::Spec Concretizer::resolve_root(const Spec& root, Context& ctx,
 
       obs::ScopedSpan span(collector, "resolve:" + root.name(),
                            "concretizer");
-      if (!cache_key.empty()) {
-        if (auto cached = cache.lookup(cache_key)) {
-          batch.hits.fetch_add(1, std::memory_order_relaxed);
-          if (span.active()) span.annotate("cache", "hit");
-          if (merge_hits) merge_closure(*cached, ctx.resolved_);
-          return *cached;
-        }
-        batch.misses.fetch_add(1, std::memory_order_relaxed);
-        if (span.active()) span.annotate("cache", "miss");
-      }
       std::vector<std::string> stack;
-      Spec concrete = resolve(root, ctx, stack);
-      if (!cache_key.empty()) cache.insert(cache_key, concrete);
-      return concrete;
+      if (cache_key.empty()) return resolve(root, ctx, stack);
+      // Single-flight: concurrent repeats of this root wait for the
+      // first resolution and take it as a hit.
+      auto fetched = cache.get_or_compute(cache_key, [&] {
+        return std::make_shared<const Spec>(resolve(root, ctx, stack));
+      });
+      (fetched.hit ? batch.hits : batch.misses)
+          .fetch_add(1, std::memory_order_relaxed);
+      if (span.active()) span.annotate("cache", fetched.hit ? "hit" : "miss");
+      if (fetched.hit && merge_hits) {
+        merge_closure(*fetched.value, ctx.resolved_);
+      }
+      return *fetched.value;
     } catch (const TransientError&) {
       if (attempt >= kMaxAttempts) throw;
       if (!cache_key.empty()) cache.invalidate(cache_key);

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <cstdint>
 #include <exception>
+#include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -12,6 +14,7 @@
 #include "src/install/installer.hpp"
 #include "src/ramble/expansion.hpp"
 #include "src/support/hash.hpp"
+#include "src/support/sharded_cache.hpp"
 #include "src/support/log.hpp"
 #include "src/yaml/emitter.hpp"
 #include "src/yaml/node.hpp"
@@ -75,6 +78,66 @@ void warn_skip(std::string_view kind, const std::string& key,
                      key + "': " + what);
 }
 
+/// One persisted counter: its field name in a "<cache>.stats" meta record
+/// and the stats member it maps to.
+using StatField = std::pair<std::string_view, std::size_t*>;
+
+/// The fields of each cache's meta stats record, in the order they have
+/// always been written. `retries` is the binary cache's extra counter.
+std::vector<StatField> stat_fields(std::string_view meta_key,
+                                   support::CacheStats& s,
+                                   std::size_t* retries) {
+  if (meta_key == "binary.stats") {
+    return {{"hits", &s.hits},
+            {"misses", &s.misses},
+            {"pushes", &s.inserts},
+            {"retries", retries},
+            {"evictions", &s.evictions}};
+  }
+  std::vector<StatField> fields{{"hits", &s.hits},
+                                {"misses", &s.misses},
+                                {"inserts", &s.inserts},
+                                {"evictions", &s.evictions}};
+  if (meta_key == "concretize.stats") {
+    fields.emplace_back("invalidations", &s.invalidations);
+  }
+  return fields;
+}
+
+void put_stats(const StoreHandle& store, std::string_view meta_key,
+               support::CacheStats stats, std::size_t retries = 0) {
+  yaml::Node n = yaml::Node::make_mapping();
+  for (const auto& [name, value] : stat_fields(meta_key, stats, &retries)) {
+    n[std::string(name)] = yaml::Node(static_cast<long long>(*value));
+  }
+  store->put(kMetaKind, meta_key, yaml::emit(n, emit_opts()));
+}
+
+/// Read a meta stats record. nullopt when it is absent or unparsable (the
+/// latter logs a warning and bumps `skipped`, when given).
+std::optional<support::CacheStats> get_stats(const StoreHandle& store,
+                                             std::string_view meta_key,
+                                             std::size_t* retries = nullptr,
+                                             std::size_t* skipped = nullptr) {
+  const auto meta = store->get(kMetaKind, meta_key);
+  if (!meta) return std::nullopt;
+  support::CacheStats stats;
+  std::size_t retries_value = 0;
+  try {
+    yaml::Node n = yaml::parse(*meta);
+    for (const auto& [name, value] :
+         stat_fields(meta_key, stats, &retries_value)) {
+      *value = static_cast<std::size_t>(n.at(std::string(name)).as_int());
+    }
+  } catch (const std::exception& e) {
+    if (skipped) ++*skipped;
+    warn_skip(kMetaKind, std::string(meta_key), e.what());
+    return std::nullopt;
+  }
+  if (retries) *retries = retries_value;
+  return stats;
+}
+
 }  // namespace
 
 // ------------------------------------------------------ global caches
@@ -84,66 +147,51 @@ WarmStartReport warm_start_global_caches(const StoreHandle& store) {
   if (!store || !store->begin_warm_start()) return report;
   report.attempted = true;
 
+  // Records whose key the cache already holds are skipped before they
+  // are decoded: restore() keeps the in-process entry anyway.
   auto& ccache = concretizer::ConcretizationCache::global();
+  std::vector<concretizer::ConcretizationCache::Entry> concretized;
   store->for_each(kConcretizeKind, [&](const std::string& key,
                                        const std::string& value) {
+    if (ccache.contains(key)) return;
     try {
       yaml::Node n = yaml::parse(value);
-      spec::Spec s = spec_from_closure(n);
+      auto s = std::make_shared<const spec::Spec>(spec_from_closure(n));
       const auto seq =
           static_cast<std::uint64_t>(n.at("sequence").as_int());
-      ccache.restore_entry(key, std::move(s), seq);
-      ++report.concretize_entries;
+      concretized.push_back({key, std::move(s), seq});
     } catch (const std::exception& e) {
       ++report.skipped_records;
       warn_skip(kConcretizeKind, key, e.what());
     }
   });
-  if (auto meta = store->get(kMetaKind, "concretize.stats")) {
-    try {
-      yaml::Node n = yaml::parse(*meta);
-      concretizer::ConcretizeCacheStats stats;
-      stats.hits = static_cast<std::size_t>(n.at("hits").as_int());
-      stats.misses = static_cast<std::size_t>(n.at("misses").as_int());
-      stats.inserts = static_cast<std::size_t>(n.at("inserts").as_int());
-      stats.evictions = static_cast<std::size_t>(n.at("evictions").as_int());
-      stats.invalidations =
-          static_cast<std::size_t>(n.at("invalidations").as_int());
-      ccache.restore_stats(stats);
-    } catch (const std::exception& e) {
-      ++report.skipped_records;
-      warn_skip(kMetaKind, "concretize.stats", e.what());
-    }
-  }
+  report.concretize_entries = concretized.size();
+  ccache.restore(std::move(concretized),
+                 get_stats(store, "concretize.stats", nullptr,
+                           &report.skipped_records));
 
   auto& tcache = ramble::TemplateCache::global();
+  std::vector<ramble::TemplateCache::Entry> templates;
   store->for_each(kTemplateKind, [&](const std::string& key,
                                      const std::string& value) {
     try {
       yaml::Node n = yaml::parse(value);
       const auto seq =
           static_cast<std::uint64_t>(n.at("sequence").as_int());
-      tcache.restore_entry(n.at("text").as_string(), seq);
-      ++report.template_entries;
+      std::string text = n.at("text").as_string();
+      if (tcache.contains(text)) return;
+      // Compile first: a corrupt record must not publish anything.
+      auto compiled = std::make_shared<const ramble::CompiledTemplate>(text);
+      templates.push_back({std::move(text), std::move(compiled), seq});
     } catch (const std::exception& e) {
       ++report.skipped_records;
       warn_skip(kTemplateKind, key, e.what());
     }
   });
-  if (auto meta = store->get(kMetaKind, "template.stats")) {
-    try {
-      yaml::Node n = yaml::parse(*meta);
-      ramble::TemplateCacheStats stats;
-      stats.hits = static_cast<std::size_t>(n.at("hits").as_int());
-      stats.misses = static_cast<std::size_t>(n.at("misses").as_int());
-      stats.inserts = static_cast<std::size_t>(n.at("inserts").as_int());
-      stats.evictions = static_cast<std::size_t>(n.at("evictions").as_int());
-      tcache.restore_stats(stats);
-    } catch (const std::exception& e) {
-      ++report.skipped_records;
-      warn_skip(kMetaKind, "template.stats", e.what());
-    }
-  }
+  report.template_entries = templates.size();
+  tcache.restore(std::move(templates),
+                 get_stats(store, "template.stats", nullptr,
+                           &report.skipped_records));
   return report;
 }
 
@@ -152,42 +200,23 @@ void persist_global_caches(const StoreHandle& store) {
   const auto opts = emit_opts();
 
   auto& ccache = concretizer::ConcretizationCache::global();
-  ccache.for_each_entry([&](const std::string& key, const spec::Spec& s,
-                            std::uint64_t sequence) {
+  for (const auto& [key, s, sequence] : ccache.export_entries()) {
     yaml::Node root = yaml::Node::make_mapping();
-    put_spec_closure(root, s);
+    put_spec_closure(root, *s);
     root["sequence"] = yaml::Node(static_cast<long long>(sequence));
     store->put(kConcretizeKind, key, yaml::emit(root, opts));
-  });
-  {
-    const auto stats = ccache.stats();
-    yaml::Node n = yaml::Node::make_mapping();
-    n["hits"] = yaml::Node(static_cast<long long>(stats.hits));
-    n["misses"] = yaml::Node(static_cast<long long>(stats.misses));
-    n["inserts"] = yaml::Node(static_cast<long long>(stats.inserts));
-    n["evictions"] = yaml::Node(static_cast<long long>(stats.evictions));
-    n["invalidations"] =
-        yaml::Node(static_cast<long long>(stats.invalidations));
-    store->put(kMetaKind, "concretize.stats", yaml::emit(n, opts));
   }
+  put_stats(store, "concretize.stats", ccache.stats());
 
   auto& tcache = ramble::TemplateCache::global();
-  for (const auto& [text, sequence] : tcache.export_entries()) {
+  for (const auto& [text, compiled, sequence] : tcache.export_entries()) {
     yaml::Node root = yaml::Node::make_mapping();
     root["text"] = yaml::Node(text);
     root["sequence"] = yaml::Node(static_cast<long long>(sequence));
     store->put(kTemplateKind, support::hash_base32(text),
                yaml::emit(root, opts));
   }
-  {
-    const auto stats = tcache.stats();
-    yaml::Node n = yaml::Node::make_mapping();
-    n["hits"] = yaml::Node(static_cast<long long>(stats.hits));
-    n["misses"] = yaml::Node(static_cast<long long>(stats.misses));
-    n["inserts"] = yaml::Node(static_cast<long long>(stats.inserts));
-    n["evictions"] = yaml::Node(static_cast<long long>(stats.evictions));
-    store->put(kMetaKind, "template.stats", yaml::emit(n, opts));
-  }
+  put_stats(store, "template.stats", tcache.stats());
 }
 
 // -------------------------------------------------------- binary cache
@@ -211,20 +240,9 @@ std::size_t warm_binary_cache(const StoreHandle& store,
     }
   });
   buildcache::CacheStats stats;
-  const auto meta = store->get(kMetaKind, "binary.stats");
-  if (meta) {
-    try {
-      yaml::Node n = yaml::parse(*meta);
-      stats.hits = static_cast<std::size_t>(n.at("hits").as_int());
-      stats.misses = static_cast<std::size_t>(n.at("misses").as_int());
-      stats.pushes = static_cast<std::size_t>(n.at("pushes").as_int());
-      stats.retries = static_cast<std::size_t>(n.at("retries").as_int());
-      stats.evictions = static_cast<std::size_t>(n.at("evictions").as_int());
-    } catch (const std::exception& e) {
-      warn_skip(kMetaKind, "binary.stats", e.what());
-    }
-  }
-  if (entries.empty() && !meta) return 0;  // nothing persisted yet
+  const auto persisted = get_stats(store, "binary.stats", &stats.retries);
+  if (entries.empty() && !persisted) return 0;  // nothing persisted yet
+  if (persisted) static_cast<support::CacheStats&>(stats) = *persisted;
   cache.restore(entries, stats);
   return entries.size();
 }
@@ -241,13 +259,7 @@ void persist_binary_cache(const StoreHandle& store,
     store->put(kBinaryKind, entry.dag_hash, yaml::emit(n, opts));
   }
   const auto stats = cache.stats();
-  yaml::Node n = yaml::Node::make_mapping();
-  n["hits"] = yaml::Node(static_cast<long long>(stats.hits));
-  n["misses"] = yaml::Node(static_cast<long long>(stats.misses));
-  n["pushes"] = yaml::Node(static_cast<long long>(stats.pushes));
-  n["retries"] = yaml::Node(static_cast<long long>(stats.retries));
-  n["evictions"] = yaml::Node(static_cast<long long>(stats.evictions));
-  store->put(kMetaKind, "binary.stats", yaml::emit(n, opts));
+  put_stats(store, "binary.stats", stats, stats.retries);
 }
 
 // -------------------------------------------------------- install tree

@@ -4,11 +4,11 @@
 //
 // Each adapter serializes through the project YAML emitter (with
 // quote_numeric_strings on, so values that look like numbers, booleans,
-// or dates survive typed readers) and restores through the caches'
-// restore APIs, which publish via the normal hazard-pointer snapshot
-// path and preserve insert sequences and stats counters — a reloaded
-// cache evicts in the same oldest-first order, and its obs counters stay
-// monotone across process restarts.
+// or dates survive typed readers) and restores each cache in one bulk
+// ShardedCache::restore, which merges on the normal hazard-pointer
+// snapshot path and preserves insert sequences and stats counters — a
+// reloaded cache evicts in the same oldest-first order, and its obs
+// counters stay monotone across process restarts.
 //
 // Record kinds used in the journal:
 //   "binary"      dag hash        -> cache index entry
@@ -42,6 +42,8 @@ namespace benchpark::store {
 struct WarmStartReport {
   /// False when another call already warmed this store (or store null).
   bool attempted = false;
+  /// Entries restored; records whose key the cache already held are
+  /// skipped undecoded (the in-process entry is kept).
   std::size_t concretize_entries = 0;
   std::size_t template_entries = 0;
   /// Records that failed to parse and were skipped.

@@ -1,18 +1,20 @@
 // RCU-style atomic snapshot publication with hazard-pointer reclamation.
 //
-// The sharded caches (buildcache::BinaryCache,
-// concretizer::ConcretizationCache, ramble::TemplateCache) and the string
-// interner serve their steady-state read paths from an immutable snapshot.
-// Readers pin the current snapshot through a per-thread hazard slot: one
-// plain load, one store to the thread's own slot, one validating load —
-// no lock, no shared reference count, no read-side cache-line contention
-// (an atomic<shared_ptr> snapshot was measurably *slower* than a mutex at
-// 16 threads: libstdc++ backs it with a spinlock pool and every reader
-// bumps the same control-block refcount). Writers copy the current
-// snapshot under the shard's existing mutex, apply the mutation to the
-// copy, publish the new version, and retire the old one; a retired
-// snapshot is freed on a later publish once no thread's hazard slot pins
-// it (the grace period of classic RCU, detected instead of waited for).
+// support::ShardedCache (the one cache behind buildcache::BinaryCache,
+// concretizer::ConcretizationCache and ramble::TemplateCache) and the
+// string interner serve their steady-state read paths from an immutable
+// snapshot. Readers pin the current snapshot through a per-thread hazard
+// slot: one plain load, one store to the thread's own slot, one
+// validating load — no lock, no shared reference count, no read-side
+// cache-line contention (an atomic<shared_ptr> snapshot was measurably
+// *slower* than a mutex at 16 threads: libstdc++ backs it with a spinlock
+// pool and every reader bumps the same control-block refcount). Writers
+// copy the current snapshot under the owner's mutex (a ShardedCache
+// shard's, which also guards its single-flight claims), apply the
+// mutation to the copy, publish the new version, and retire the old one;
+// a retired snapshot is freed on a later publish once no thread's hazard
+// slot pins it (the grace period of classic RCU, detected instead of
+// waited for).
 //
 // Protocol invariants (DESIGN.md §12):
 //   * a snapshot, once published, is never mutated;

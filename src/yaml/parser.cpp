@@ -249,15 +249,24 @@ private:
     while (i < text.size() && (text[i] == ' ' || text[i] == '\t')) ++i;
   }
 
+  /// Flow collections recurse once per nesting level; beyond this depth
+  /// untrusted input is refused instead of overflowing the stack.
+  static constexpr int kMaxFlowDepth = 512;
+
   /// One value inside a flow context: nested collection, quoted scalar,
-  /// or plain scalar running up to the next ','/']'/'}'.
+  /// or plain scalar running up to the next ','/']'/'}'. `depth` counts
+  /// the enclosing flow collections.
   Node parse_flow_value(const std::string& text, std::size_t& i,
-                        int line_number) {
+                        int line_number, int depth = 0) {
     skip_flow_ws(text, i);
     if (i >= text.size()) fail(line_number, "unexpected end of flow value");
     char c = text[i];
-    if (c == '[') return parse_flow_sequence(text, i, line_number);
-    if (c == '{') return parse_flow_mapping(text, i, line_number);
+    if ((c == '[' || c == '{') && depth >= kMaxFlowDepth) {
+      fail(line_number, "flow collections nested deeper than " +
+                            std::to_string(kMaxFlowDepth) + " levels");
+    }
+    if (c == '[') return parse_flow_sequence(text, i, line_number, depth);
+    if (c == '{') return parse_flow_mapping(text, i, line_number, depth);
     if (c == '\'' || c == '"') {
       return Node(parse_quoted(text, i, line_number));
     }
@@ -272,7 +281,7 @@ private:
   }
 
   Node parse_flow_sequence(const std::string& text, std::size_t& i,
-                           int line_number) {
+                           int line_number, int depth) {
     ++i;  // consume '['
     Node seq = Node::make_sequence();
     skip_flow_ws(text, i);
@@ -281,7 +290,7 @@ private:
       return seq;
     }
     for (;;) {
-      seq.push_back(parse_flow_value(text, i, line_number));
+      seq.push_back(parse_flow_value(text, i, line_number, depth + 1));
       skip_flow_ws(text, i);
       if (i >= text.size()) fail(line_number, "unterminated flow sequence");
       if (text[i] == ',') {
@@ -297,7 +306,7 @@ private:
   }
 
   Node parse_flow_mapping(const std::string& text, std::size_t& i,
-                          int line_number) {
+                          int line_number, int depth) {
     ++i;  // consume '{'
     Node map = Node::make_mapping();
     skip_flow_ws(text, i);
@@ -331,7 +340,7 @@ private:
       if (i < text.size() && (text[i] == ',' || text[i] == '}')) {
         map[key] = Node{};  // empty value
       } else {
-        map[key] = parse_flow_value(text, i, line_number);
+        map[key] = parse_flow_value(text, i, line_number, depth + 1);
       }
       skip_flow_ws(text, i);
       if (i >= text.size()) fail(line_number, "unterminated flow mapping");

@@ -71,7 +71,7 @@ TEST(BuildCache, ColdThenWarmAccounting) {
   auto stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.pushes, 1u);
+  EXPECT_EQ(stats.inserts, 1u);
   EXPECT_EQ(stats.lookups(), 2u);
   EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.5);
 }
@@ -96,7 +96,7 @@ TEST(BuildCache, PushOverwritesSameHash) {
   auto entry = cache.fetch(spec);
   ASSERT_TRUE(entry.has_value());
   EXPECT_EQ(entry->size_bytes, 200u);
-  EXPECT_EQ(cache.stats().pushes, 2u);
+  EXPECT_EQ(cache.stats().inserts, 2u);
 }
 
 TEST(BuildCache, ConcurrentPushFetchStress) {
@@ -124,7 +124,7 @@ TEST(BuildCache, ConcurrentPushFetchStress) {
   EXPECT_EQ(cache.size(), specs.size());
   for (const auto& spec : specs) EXPECT_TRUE(cache.contains(spec));
   auto stats = cache.stats();
-  EXPECT_EQ(stats.pushes, static_cast<std::size_t>(kThreads) * kRounds);
+  EXPECT_EQ(stats.inserts, static_cast<std::size_t>(kThreads) * kRounds);
   EXPECT_EQ(stats.lookups(), fetch_calls.load());
 }
 
@@ -288,7 +288,7 @@ TEST(BuildCache, ConcurrentPushesRespectCapacityInvariant) {
   EXPECT_LE(cache.total_bytes(), capacity);
   EXPECT_LE(cache.size(), 4u);
   auto stats = cache.stats();
-  EXPECT_EQ(stats.pushes, static_cast<std::size_t>(kThreads) * kRounds);
+  EXPECT_EQ(stats.inserts, static_cast<std::size_t>(kThreads) * kRounds);
   // Byte ledger still consistent with the surviving entries.
   std::uint64_t resident = 0;
   for (const auto& spec : specs) {
@@ -373,13 +373,13 @@ TEST(BuildCache, TraceCountersAndSpansAgreeWithStats) {
 
     auto trace = collector.snapshot();
     EXPECT_EQ(trace.counters.at("buildcache.pushes"),
-              static_cast<long long>(stats.pushes));
+              static_cast<long long>(stats.inserts));
     EXPECT_EQ(trace.counters.at("buildcache.hits"),
               static_cast<long long>(stats.hits));
     EXPECT_EQ(trace.counters.at("buildcache.misses"),
               static_cast<long long>(stats.misses));
     // One span per mirror operation, one instant per eviction.
-    EXPECT_EQ(trace.count_named("push"), stats.pushes);
+    EXPECT_EQ(trace.count_named("push"), stats.inserts);
     EXPECT_EQ(trace.count_named("fetch"), stats.lookups());
     EXPECT_EQ(trace.count_named("evict"), stats.evictions);
     // Fetch spans carry the outcome annotation.

@@ -408,7 +408,7 @@ TEST(Environment, ConcurrentRootsBuildSharedDepsOnce) {
     EXPECT_EQ(count, 1) << hash;
   }
   EXPECT_EQ(report.from_source, source_builds.size());
-  EXPECT_EQ(tree.size(), cache.stats().pushes + report.externals);
+  EXPECT_EQ(tree.size(), cache.stats().inserts + report.externals);
 }
 
 TEST(Installer, ArchspecFlagsRecordedPerTarget) {
@@ -606,7 +606,7 @@ TEST(Environment, SameSeedChaosInstallsAreByteIdentical) {
     options.engine_threads = 4;
     options.max_retries = 3;
     auto report = e.install_all(installer, options);
-    EXPECT_EQ(tree.size(), cache.stats().pushes + report.externals);
+    EXPECT_EQ(tree.size(), cache.stats().inserts + report.externals);
     return report;
   };
   auto first = run();

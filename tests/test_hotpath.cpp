@@ -196,21 +196,21 @@ TEST(HotPathStats, BinaryCacheSnapshotsConsistentUnderPushes) {
   while (!stop.load(std::memory_order_relaxed)) {
     auto st = cache.stats();
     // Cause-before-effect: an eviction implies a completed push.
-    EXPECT_LE(st.evictions, st.pushes);
+    EXPECT_LE(st.evictions, st.inserts);
     // Monotone: no counter ever runs backwards.
     EXPECT_GE(st.hits, prev.hits);
     EXPECT_GE(st.misses, prev.misses);
-    EXPECT_GE(st.pushes, prev.pushes);
+    EXPECT_GE(st.inserts, prev.inserts);
     EXPECT_GE(st.retries, prev.retries);
     EXPECT_GE(st.evictions, prev.evictions);
     prev = st;
-    if (prev.pushes >= 4 * 300) break;
+    if (prev.inserts >= 4 * 300) break;
   }
   for (auto& t : writers) t.join();
 
   auto final_stats = cache.stats();
-  EXPECT_EQ(final_stats.pushes, 4u * 300u);
-  EXPECT_LE(final_stats.evictions, final_stats.pushes);
+  EXPECT_EQ(final_stats.inserts, 4u * 300u);
+  EXPECT_LE(final_stats.evictions, final_stats.inserts);
   EXPECT_EQ(final_stats.lookups(), 4u * 300u);
 }
 

@@ -14,7 +14,10 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "src/analysis/extrap.hpp"
 #include "src/archspec/microarch.hpp"
@@ -42,6 +45,14 @@ struct WorkflowCase {
   const char* system;
   bool expect_all_success;
 };
+
+// gtest appends the printed parameter to each ctest name; without these
+// PrintTo overloads it prints raw bytes (pointers and padding included),
+// so the names would change from build to build.
+void PrintTo(const WorkflowCase& c, std::ostream* os) {
+  *os << "{" << c.benchmark << ", " << c.variant << ", " << c.system << ", "
+      << (c.expect_all_success ? "true" : "false") << "}";
+}
 
 class WorkflowMatrixTest : public ::testing::TestWithParam<WorkflowCase> {};
 
@@ -126,7 +137,7 @@ INSTANTIATE_TEST_SUITE_P(
 // ------------------------------------------------- version algebra laws
 
 class VersionPairTest
-    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {
+    : public ::testing::TestWithParam<std::pair<std::string, std::string>> {
 };
 
 TEST_P(VersionPairTest, IntersectsIsSymmetric) {
@@ -298,6 +309,10 @@ struct Hypothesis {
   int log_exponent;
 };
 
+void PrintTo(const Hypothesis& h, std::ostream* os) {
+  *os << "{" << h.exponent << ", " << h.log_exponent << "}";
+}
+
 class ExtrapRecoveryTest : public ::testing::TestWithParam<Hypothesis> {};
 
 TEST_P(ExtrapRecoveryTest, RecoversExactHypothesis) {
@@ -391,6 +406,10 @@ struct CollectiveCase {
   const char* system;
   sys::Collective kind;
 };
+
+void PrintTo(const CollectiveCase& c, std::ostream* os) {
+  *os << "{" << c.system << ", " << sys::collective_name(c.kind) << "}";
+}
 
 class CollectiveMonotoneTest
     : public ::testing::TestWithParam<CollectiveCase> {};

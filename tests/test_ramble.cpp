@@ -3,6 +3,9 @@
 // workspace lifecycle (Figure 5) end to end on a simulated system.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <string>
+
 #include "src/ramble/application.hpp"
 #include "src/ramble/expansion.hpp"
 #include "src/ramble/experiment.hpp"
@@ -61,6 +64,25 @@ TEST(Expansion, ArithmeticErrors) {
   EXPECT_THROW(ramble::evaluate_arithmetic("2 +"), benchpark::ExperimentError);
   EXPECT_THROW(ramble::evaluate_arithmetic("4 / 0"), benchpark::ExperimentError);
   EXPECT_THROW(ramble::evaluate_arithmetic("(1"), benchpark::ExperimentError);
+}
+
+TEST(Expansion, DeepArithmeticNestingThrowsInsteadOfOverflowing) {
+  // 100,000 nested parentheses once overflowed the evaluator's stack.
+  constexpr std::size_t kDepth = 100000;
+  const std::string nested =
+      std::string(kDepth, '(') + "1" + std::string(kDepth, ')');
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(ramble::evaluate_arithmetic(nested),
+               benchpark::ExperimentError);
+  EXPECT_THROW(ramble::expand_uncached("{" + nested + "}", {}),
+               benchpark::ExperimentError);
+  // As a plain value the text is not evaluable, so it stays literal.
+  EXPECT_EQ(ramble::expand_uncached(nested, {}), nested);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  // Modest nesting still evaluates.
+  EXPECT_EQ(ramble::evaluate_arithmetic(std::string(100, '(') + "7" +
+                                        std::string(100, ')')),
+            7);
 }
 
 TEST(Expansion, UnbalancedBraceThrows) {

@@ -393,7 +393,7 @@ TEST(StorePersist, BinaryCacheEntriesStatsAndEvictionOrderSurvive) {
   buildcache::CacheStats stats;
   stats.hits = 11;
   stats.misses = 4;
-  stats.pushes = 3;
+  stats.inserts = 3;
   stats.retries = 2;
   stats.evictions = 1;
   cache.restore(entries, stats);
@@ -410,7 +410,7 @@ TEST(StorePersist, BinaryCacheEntriesStatsAndEvictionOrderSurvive) {
   auto warm_stats = warm.stats();
   EXPECT_EQ(warm_stats.hits, 11u);
   EXPECT_EQ(warm_stats.misses, 4u);
-  EXPECT_EQ(warm_stats.pushes, 3u);
+  EXPECT_EQ(warm_stats.inserts, 3u);
   EXPECT_EQ(warm_stats.retries, 2u);
   EXPECT_EQ(warm_stats.evictions, 1u);
   EXPECT_EQ(warm.total_bytes(), 600u);

@@ -1,8 +1,10 @@
 // Unit tests for the support module: strings, hashing, tables, fs, rng,
-// and the persistent thread pool behind parallel_for / parallel_reduce.
+// the persistent thread pool behind parallel_for / parallel_reduce, and
+// the sharded cache's single-flight misses.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <numeric>
@@ -20,6 +22,7 @@
 #include "src/support/log.hpp"
 #include "src/support/parallel.hpp"
 #include "src/support/rng.hpp"
+#include "src/support/sharded_cache.hpp"
 #include "src/support/string_util.hpp"
 #include "src/support/table.hpp"
 #include "src/support/thread_pool.hpp"
@@ -677,4 +680,70 @@ TEST(FsUtil, AppendFileSyncToBlockedParentThrows) {
   EXPECT_THROW(
       bs::append_file_sync(tmp.path() / "blocker" / "f", "x"),
       benchpark::Error);
+}
+
+// ------------------------------------------------------------ ShardedCache
+
+namespace {
+
+struct CountedTraits {
+  using Hash = bs::TransparentStringHash;
+  static std::uint64_t weight(int) { return 1; }
+  static constexpr bs::CacheCounterNames kCounters{
+      "test.cache.hits", "test.cache.misses", "test.cache.inserts",
+      "test.cache.evictions", "test.cache.invalidations"};
+};
+
+}  // namespace
+
+TEST(ShardedCache, ThrowingComputeReleasesTheClaimToWaiters) {
+  // The first claim's compute throws while later callers wait on the
+  // same key: one waiter must claim it and compute, the others take that
+  // result as hits, and the counters stay exact.
+  bs::ShardedCache<int, CountedTraits> cache;
+  constexpr int kWaiters = 7;
+  std::atomic<int> computes{0};
+  std::atomic<int> waiting{0};
+  std::atomic<bool> claimed{false};
+  auto compute = [&] {
+    if (computes.fetch_add(1) == 0) {
+      claimed.store(true);
+      while (waiting.load() < kWaiters) std::this_thread::yield();
+      // Let the waiters block on the claim before it fails.
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      throw std::runtime_error("first compute fails");
+    }
+    return 42;
+  };
+
+  std::atomic<int> failures{0};
+  std::thread first([&] {
+    try {
+      (void)cache.get_or_compute("key", compute);
+    } catch (const std::runtime_error&) {
+      failures.fetch_add(1);
+    }
+  });
+  while (!claimed.load()) std::this_thread::yield();
+  std::vector<int> values(kWaiters, 0);
+  std::vector<std::thread> waiters;
+  for (int w = 0; w < kWaiters; ++w) {
+    waiters.emplace_back([&, w] {
+      waiting.fetch_add(1);
+      values[static_cast<std::size_t>(w)] =
+          cache.get_or_compute("key", compute).value;
+    });
+  }
+  first.join();
+  for (auto& t : waiters) t.join();
+
+  EXPECT_EQ(failures.load(), 1);
+  EXPECT_EQ(computes.load(), 2);
+  for (int v : values) EXPECT_EQ(v, 42);
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.misses, 2u);  // the failed claim and the retry
+  EXPECT_EQ(stats.inserts, 1u);
+  EXPECT_EQ(stats.hits, static_cast<std::size_t>(kWaiters) - 1);
+  EXPECT_EQ(stats.lookups(), static_cast<std::size_t>(kWaiters) + 1);
+  EXPECT_EQ(cache.size(), 1u);
 }

@@ -2,6 +2,7 @@
 // the paper uses (Figures 3, 4, 9, 10, 12).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,29 @@ TEST(YamlParser, ScalarDocument) {
   auto n = yaml::parse("hello");
   ASSERT_TRUE(n.is_scalar());
   EXPECT_EQ(n.as_string(), "hello");
+}
+
+TEST(YamlParser, DeepFlowNestingThrowsInsteadOfOverflowing) {
+  // 100,000 nested flow sequences once overflowed the parser's stack.
+  constexpr std::size_t kDepth = 100000;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(yaml::parse("a: " + std::string(kDepth, '[') +
+                           std::string(kDepth, ']')),
+               benchpark::YamlError);
+  std::string mappings = "a: ";
+  for (std::size_t i = 0; i < kDepth; ++i) mappings += "{b: ";
+  try {
+    (void)yaml::parse("x: 1\n" + mappings);
+    ADD_FAILURE() << "deep flow mappings parsed";
+  } catch (const benchpark::YamlError& e) {
+    EXPECT_NE(std::string(e.what()).find("yaml:2:"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  // Modest nesting still parses.
+  auto node = yaml::parse("a: " + std::string(100, '[') + "1" +
+                          std::string(100, ']'));
+  EXPECT_TRUE(node.at("a").is_sequence());
 }
 
 TEST(YamlParser, SimpleMapping) {
